@@ -10,7 +10,8 @@
 // (bounded Pareto), families mixed, everything seeded.  Per-QPS-point
 // results (p50/p99/p999 latency, goodput) land in BENCH_serve.json, plus
 // one record for the measured single-job serving overhead, via the shared
-// bench::write_json_env_header() preamble.
+// bench::write_json_env_header() preamble.  `--smoke` writes no JSON: the
+// file is tracked, and only a full-mode run may replace it.
 //
 // `--serve-off-check` is the CI guardrail: serving a single job through
 // submit/admission/fork/complete must cost <= 5% over invoking the same
@@ -583,7 +584,12 @@ int main(int argc, char** argv) {
   oc.noise_pct = m.noise_pct;
   json.add(oc);
 
-  json.write();
+  // BENCH_serve.json is tracked: only a full-mode run may replace it.
+  if (smoke) {
+    std::printf("smoke run: BENCH_serve.json not written\n");
+  } else {
+    json.write();
+  }
   if (traced && obliv::obs::write_chrome_trace(trace_out, tracer)) {
     std::printf("trace written to %s (analyze with tools/obliv-trace)\n",
                 trace_out.c_str());

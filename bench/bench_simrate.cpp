@@ -32,13 +32,6 @@
 // stack-* rows additionally time the workloads end-to-end through the full
 // SimExecutor stack (algorithm + scheduler + simulator), which is the cost
 // the actual benches pay; they have no baseline counterpart in-process.
-// PR 6 adds the sharded replay engine (hm/psim.hpp) to the comparison:
-// every captured trace is additionally replayed through ShardedCacheSim
-// ("psim-" rows, threads column > 1 on multi-core hosts), with the serial
-// and sharded cells of each repetition run back-to-back in alternating
-// order so ambient drift cancels out of their ratio.  `--threads=N`
-// overrides the engine's worker count; `--psim-off-check` is the
-// single-thread overhead guardrail (ctest: bench_simrate_psim_off_check).
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -52,7 +45,6 @@
 #include "bench/common.hpp"
 #include "hm/cache_sim.hpp"
 #include "hm/config.hpp"
-#include "hm/psim.hpp"
 #include "hm/trace.hpp"
 #include "sched/sim_executor.hpp"
 #include "sched/views.hpp"
@@ -62,8 +54,7 @@ using namespace obliv;
 
 namespace {
 
-int g_reps = 9;       // dropped to 2 under --smoke
-unsigned g_threads = 0;  // --threads=N; 0 = engine default (env/host cores)
+int g_reps = 9;  // dropped to 2 under --smoke
 
 using Trace = std::vector<sched::TraceEntry>;
 
@@ -120,34 +111,6 @@ void check_parity(const hm::MachineConfig& cfg, const Trace& t,
   }
 }
 
-/// Parity gate for the sharded replay engine: before a psim- row's rate
-/// means anything, its counters on the trace must be identical to a plain
-/// serial replay (the engine's whole claim is bit-exactness).
-void check_psim_parity(const hm::MachineConfig& cfg, const Trace& t,
-                       unsigned threads, const std::string& name) {
-  hm::CacheSim serial(cfg);
-  replay(serial, t);
-  hm::CacheSim sim(cfg);
-  hm::ShardedCacheSim engine(sim, threads);
-  engine.replay(t.data(), t.size());
-  bool ok = serial.pingpong_events() == sim.pingpong_events() &&
-            serial.total_accesses() == sim.total_accesses();
-  for (std::uint32_t lvl = 1; lvl <= cfg.cache_levels(); ++lvl) {
-    for (std::uint32_t i = 0; i < cfg.caches_at(lvl); ++i) {
-      const auto& a = serial.counters(lvl, i);
-      const auto& b = sim.counters(lvl, i);
-      ok = ok && a.hits == b.hits && a.misses == b.misses &&
-           a.evictions == b.evictions && a.invalidations == b.invalidations;
-    }
-  }
-  if (!ok) {
-    std::cerr << "FATAL: sharded replay counter mismatch vs serial on "
-              << name << " / " << cfg.name() << " (threads=" << threads
-              << ")\n";
-    std::exit(1);
-  }
-}
-
 struct Row {
   std::string bench;
   hm::MachineConfig cfg;
@@ -155,7 +118,7 @@ struct Row {
   Trace trace;               ///< empty for stack-* rows
   Trace trace_base;          ///< baseline replay stream (empty: use `trace`)
   std::function<std::uint64_t()> stack_run;  ///< stack-* rows only
-  std::vector<double> ns_new, ns_base, ns_psim;
+  std::vector<double> ns_new, ns_base;
   std::uint64_t words = 0;
 };
 
@@ -305,152 +268,16 @@ void add_gep(const hm::MachineConfig& cfg, std::uint64_t n) {
   add_stack("igep", cfg, n, rep);
 }
 
-// ---- --psim-off-check: single-thread engine overhead guardrail ------------
-
-/// A scan workload's exact executor-emitted access stream, for overhead
-/// measurement on a construct-realistic trace (epoch cuts, run batches).
-Trace capture_scan_trace(const hm::MachineConfig& cfg, std::uint64_t n) {
-  sched::SimExecutor ex(cfg);
-  bench::trace_attach(ex);
-  auto buf = ex.make_buf<std::int64_t>(n);
-  Trace t;
-  ex.set_trace(&t);
-  for (std::size_t i = 0; i < n; ++i) buf.raw()[i] = std::int64_t(i & 7);
-  ex.run(2 * n, [&] { algo::mo_prefix_sum(ex, buf.ref()); });
-  ex.set_trace(nullptr);
-  return t;
-}
-
-/// `--psim-off-check` mode: the guardrail for the sharded replay engine.
-/// With one worker the engine skips epoch analysis entirely and degrades
-/// to buffer-then-serial-replay, so its cost over a direct serial replay
-/// is just the buffering -- the state every run on a single-core host is
-/// in, which must stay within the 5% budget (ISSUE 6) for `kAuto` to be a
-/// safe default.
-///
-/// Statistics mirror bench_wallclock --fault-off-check: per repetition the
-/// serial / serial / engine cells run back-to-back (order alternating),
-/// and the within-rep *ratio* is aggregated -- paired runs share the same
-/// interference window, so host drift divides out.  Both ratios compare
-/// cells adjacent to the shared middle cell; the A/A median is the
-/// pairing-noise floor.  Gate (full mode only):
-/// overhead <= max(5%, A/A + 1%).  Smoke measures and prints but does not
-/// gate.
-int psim_off_check(bool smoke, int reps) {
-  bench::print_header("sharded replay engine overhead at 1 worker");
-  std::printf("host hardware_concurrency = %u, gate %s\n",
-              bench::host_concurrency(),
-              smoke ? "off (smoke)" : "on (<= max(5%, A/A noise + 1%))");
-  const hm::MachineConfig cfg = hm::MachineConfig::shared_l2(4);
-  const std::uint64_t raw_n = smoke ? 1u << 16 : 1u << 20;
-  struct Case {
-    std::string name;
-    Trace trace;
-  };
-  const Case cases[] = {
-      {"raw-seq-read", make_seq(raw_n)},
-      {"raw-part-rw", make_part(cfg, raw_n)},
-      {"scan-trace", capture_scan_trace(cfg, smoke ? 1u << 12 : 1u << 16)},
-  };
-  util::Table t({"trace", "serial ns", "A/A noise", "engine ns", "overhead"});
-  bool gate_ok = true;
-  struct Measurement {
-    double best_off, best_on, noise_pct, over_pct;
-  };
-  auto measure = [&](const Case& c) {
-    hm::CacheSim serial_sim(cfg);
-    hm::CacheSim engine_sim(cfg);
-    hm::ShardedCacheSim engine(engine_sim, /*threads=*/1);
-    auto run_serial = [&] { replay(serial_sim, c.trace); };
-    auto run_engine = [&] {
-      engine_sim.clear();
-      engine.replay(c.trace.data(), c.trace.size());
-    };
-    run_serial();  // warm-up
-    run_engine();
-    std::vector<double> over_ratios, noise_ratios;
-    double best_off = 0, best_on = 0;
-    for (int r = 0; r < reps; ++r) {
-      double a, a2, b;
-      if (r % 2 == 0) {
-        a = bench::time_once_ns(run_serial);
-        a2 = bench::time_once_ns(run_serial);
-        b = bench::time_once_ns(run_engine);
-      } else {
-        b = bench::time_once_ns(run_engine);
-        a2 = bench::time_once_ns(run_serial);
-        a = bench::time_once_ns(run_serial);
-      }
-      over_ratios.push_back(b / a2);
-      noise_ratios.push_back(a / a2);
-      const double off = std::min(a, a2);
-      if (r == 0 || off < best_off) best_off = off;
-      if (r == 0 || b < best_on) best_on = b;
-    }
-    auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    return Measurement{best_off, best_on,
-                       100.0 * std::abs(median(noise_ratios) - 1.0),
-                       100.0 * (median(over_ratios) - 1.0)};
-  };
-  auto within = [smoke](const Measurement& m) {
-    return smoke || m.over_pct <= std::max(5.0, m.noise_pct + 1.0);
-  };
-  for (const auto& c : cases) {
-    Measurement m = measure(c);
-    bool ok = within(m);
-    if (!ok) {
-      // Confirm before failing: a real buffering regression reproduces; a
-      // host-load resonance artifact does not.
-      m = measure(c);
-      ok = within(m);
-    }
-    gate_ok = gate_ok && ok;
-    t.add_row({c.name + (ok ? "" : "  <-- FAIL"),
-               util::Table::fmt(m.best_off, "%.0f"),
-               util::Table::fmt(m.noise_pct, "%.2f%%"),
-               util::Table::fmt(m.best_on, "%.0f"),
-               util::Table::fmt(m.over_pct, "%+.2f%%")});
-  }
-  t.print(std::cout);
-  if (!gate_ok) {
-    std::printf("\nFAIL: 1-worker sharded replay exceeds the 5%% budget\n");
-    return 1;
-  }
-  std::printf("\nOK: 1-worker sharded replay within budget\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = bench::smoke(argc, argv);
   bench::TraceExport trace_export(argc, argv);
-  bool psim_check = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--psim-off-check") psim_check = true;
-    if (arg.rfind("--threads=", 0) == 0) {
-      g_threads = static_cast<unsigned>(
-          std::strtoul(arg.data() + 10, nullptr, 10));
-    }
-  }
-  if (psim_check) return psim_off_check(smoke, smoke ? 3 : 15);
   if (smoke) g_reps = 2;
   bench::print_header("Simulator throughput (simulated word accesses/sec)");
-  const unsigned psim_threads =
-      g_threads != 0 ? g_threads : hm::psim_threads_from_env();
   std::cout << "host hardware_concurrency = " << bench::host_concurrency()
             << ", pinned = " << (bench::threads_pinned() ? "yes" : "no")
-            << ", psim default mode = "
-            << (hm::resolve_psim_mode(hm::PsimMode::kAuto) ==
-                        hm::PsimMode::kSharded
-                    ? "sharded"
-                    : "serial")
-            << ", psim- rows at threads = " << psim_threads
-            << " (capped per machine config)\n";
+            << "\n";
   const std::uint64_t raw_n = smoke ? 1u << 16 : 1u << 20;
   const hm::MachineConfig cfgs[] = {hm::MachineConfig::shared_l2(4),
                                     hm::MachineConfig::figure1()};
@@ -465,25 +292,20 @@ int main(int argc, char** argv) {
     add_gep(cfg, smoke ? 32 : 64);
   }
 
-  // Counter-parity gates: the speedup claims only stand on identical
-  // semantics -- vs the vendored baseline AND vs the sharded replay engine.
+  // Counter-parity gate: the speedup claims only stand on identical
+  // semantics vs the vendored baseline.
   for (const auto& r : plan) {
     if (!r.trace.empty()) {
       check_parity(r.cfg, r.trace,
                    r.trace_base.empty() ? r.trace : r.trace_base, r.bench);
-      check_psim_parity(r.cfg, r.trace, psim_threads, r.bench);
     }
   }
 
   // Timed phase.  Reps of every row are interleaved (rep r of all rows
   // before rep r+1 of any); within a replay row the baseline and the
-  // current simulator alternate back-to-back, and the serial / sharded
-  // cells additionally alternate their order by rep parity so neither
-  // systematically inherits the tail of a load burst.
+  // current simulator alternate back-to-back.
   std::vector<std::unique_ptr<hm::CacheSim>> sims_new;
   std::vector<std::unique_ptr<bench::BaselineCacheSim>> sims_base;
-  std::vector<std::unique_ptr<hm::CacheSim>> sims_psim;
-  std::vector<std::unique_ptr<hm::ShardedCacheSim>> engines;
   for (const auto& r : plan) {
     const bool has_trace = !r.trace.empty();
     sims_new.push_back(has_trace ? std::make_unique<hm::CacheSim>(r.cfg)
@@ -491,11 +313,6 @@ int main(int argc, char** argv) {
     sims_base.push_back(
         has_trace ? std::make_unique<bench::BaselineCacheSim>(r.cfg)
                   : nullptr);
-    sims_psim.push_back(has_trace ? std::make_unique<hm::CacheSim>(r.cfg)
-                                  : nullptr);
-    engines.push_back(has_trace ? std::make_unique<hm::ShardedCacheSim>(
-                                      *sims_psim.back(), psim_threads)
-                                : nullptr);
   }
   for (int r = 0; r < g_reps; ++r) {
     for (std::size_t i = 0; i < plan.size(); ++i) {
@@ -507,31 +324,16 @@ int main(int argc, char** argv) {
       const Trace& tb = row.trace_base.empty() ? row.trace : row.trace_base;
       row.ns_base.push_back(
           bench::time_once_ns([&] { replay(*sims_base[i], tb); }));
-      auto serial_cell = [&] {
-        row.ns_new.push_back(
-            bench::time_once_ns([&] { replay(*sims_new[i], row.trace); }));
-      };
-      auto psim_cell = [&] {
-        row.ns_psim.push_back(bench::time_once_ns([&] {
-          sims_psim[i]->clear();
-          engines[i]->replay(row.trace.data(), row.trace.size());
-        }));
-      };
-      if (r % 2 == 0) {
-        serial_cell();
-        psim_cell();
-      } else {
-        psim_cell();
-        serial_cell();
-      }
+      row.ns_new.push_back(
+          bench::time_once_ns([&] { replay(*sims_new[i], row.trace); }));
     }
   }
 
   bench::SimRateRecorder rec("BENCH_simrate.json");
   util::Table t({"bench", "config", "n", "words", "base Macc/s", "new Macc/s",
-                 "speedup", "psim Macc/s", "T", "psim/serial"});
-  double logsum = 0, logsum_mo = 0, logsum_psim = 0;
-  int cnt = 0, cnt_mo = 0, cnt_psim = 0;
+                 "speedup"});
+  double logsum = 0, logsum_mo = 0;
+  int cnt = 0, cnt_mo = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     Row& row = plan[i];
     const double best_new = *std::min_element(row.ns_new.begin(),
@@ -553,46 +355,18 @@ int main(int argc, char** argv) {
     }
     rec.add(row.bench, row.cfg.name(), row.n, row.words, rate_new, rate_base,
             speedup, g_reps);
-    double rate_psim = 0, psim_speedup = 0;
-    unsigned engine_threads = 0;
-    if (!row.ns_psim.empty()) {
-      const double best_psim = *std::min_element(row.ns_psim.begin(),
-                                                 row.ns_psim.end());
-      rate_psim = double(row.words) / (best_psim * 1e-9);
-      // The psim row's baseline is the CURRENT serial simulator on the
-      // same trace (not the vendored one): the column answers "what does
-      // the parallel engine buy over serial replay today".
-      psim_speedup = rate_psim / rate_new;
-      engine_threads = engines[i]->threads();
-      logsum_psim += std::log(psim_speedup);
-      ++cnt_psim;
-      rec.add("psim-" + row.bench, row.cfg.name(), row.n, row.words,
-              rate_psim, rate_new, psim_speedup, g_reps, engine_threads);
-    }
     t.add_row({row.bench, row.cfg.name(), std::to_string(row.n),
                std::to_string(row.words),
                rate_base > 0 ? util::Table::fmt(rate_base / 1e6, "%.2f") : "-",
                util::Table::fmt(rate_new / 1e6, "%.2f"),
-               speedup > 0 ? util::Table::fmt(speedup, "%.2fx") : "-",
-               rate_psim > 0 ? util::Table::fmt(rate_psim / 1e6, "%.2f") : "-",
-               engine_threads > 0 ? std::to_string(engine_threads) : "-",
-               psim_speedup > 0 ? util::Table::fmt(psim_speedup, "%.2fx")
-                                : "-"});
+               speedup > 0 ? util::Table::fmt(speedup, "%.2fx") : "-"});
   }
   t.print(std::cout);
-  std::cout << "counter parity vs baseline simulator AND vs sharded replay "
-               "engine: OK on all traces\n";
+  std::cout << "counter parity vs baseline simulator: OK on all traces\n";
   std::cout << "geomean replay speedup: all "
             << util::Table::fmt(std::exp(logsum / cnt), "%.2f")
             << "x, Table-II workloads "
             << util::Table::fmt(std::exp(logsum_mo / cnt_mo), "%.2f") << "x\n";
-  if (cnt_psim > 0) {
-    std::cout << "geomean sharded-vs-serial replay: "
-              << util::Table::fmt(std::exp(logsum_psim / cnt_psim), "%.2f")
-              << "x at " << psim_threads
-              << " requested thread(s) (expect < 1x when the host or the "
-                 "request is single-threaded: same path plus buffering)\n";
-  }
   rec.write();
   return 0;
 }

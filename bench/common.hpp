@@ -163,10 +163,9 @@ inline const char* git_rev() {
 #endif
 }
 
-/// Host hardware concurrency as seen by the process (0 is normalized to 1,
-/// matching how the sharded replay engine treats an unknown core count).
-/// Recorded in every BENCH_*.json so parallel-replay numbers from hosts
-/// with different core counts are never compared as like-for-like.
+/// Host hardware concurrency as seen by the process (0 is normalized to 1).
+/// Recorded in every BENCH_*.json so parallel numbers from hosts with
+/// different core counts are never compared as like-for-like.
 inline unsigned host_concurrency() {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : hc;
@@ -289,17 +288,15 @@ class SimRateRecorder {
     double base_acc_per_sec = 0;   ///< best-of-K, baseline (0 = no baseline)
     double speedup = 0;            ///< acc_per_sec / base_acc_per_sec
     int reps = 0;
-    unsigned threads = 1;          ///< replay engine workers (1 = serial)
   };
 
   explicit SimRateRecorder(std::string path) : path_(std::move(path)) {}
 
   void add(const std::string& bench_name, const std::string& config,
            std::uint64_t n, std::uint64_t accesses, double acc_per_sec,
-           double base_acc_per_sec, double speedup, int reps,
-           unsigned threads = 1) {
+           double base_acc_per_sec, double speedup, int reps) {
     records_.push_back(Record{bench_name, config, n, accesses, acc_per_sec,
-                              base_acc_per_sec, speedup, reps, threads});
+                              base_acc_per_sec, speedup, reps});
   }
 
   bool write() const {
@@ -319,8 +316,8 @@ class SimRateRecorder {
           << ", \"base_acc_per_sec\": "
           << util::Table::fmt(r.base_acc_per_sec, "%.4g")
           << ", \"speedup\": " << util::Table::fmt(r.speedup, "%.3f")
-          << ", \"reps\": " << r.reps << ", \"threads\": " << r.threads
-          << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
+          << ", \"reps\": " << r.reps << "}"
+          << (i + 1 < records_.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "wrote " << path_ << " (" << records_.size()

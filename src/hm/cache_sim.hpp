@@ -243,11 +243,6 @@ class CacheSim {
   void clear();
 
  private:
-  // The sharded replay engine (hm/psim.hpp) replicates the private L0/L1
-  // paths on worker threads and replays shared-level effects through the
-  // same internal state, so it needs full access.
-  friend class ShardedCacheSim;
-
   /// One slot of a core's L0 filter: a B_1 block known to be resident in
   /// the core's private L1 at LRU node `node`.  `exclusive` means the
   /// sharer mask is known to be exactly this core, so even writes need no

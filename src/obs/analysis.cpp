@@ -49,8 +49,8 @@ bool kind_of_name(std::string_view name, EventKind& kind) {
       EventKind::kTaskSpawn, EventKind::kTaskSteal, EventKind::kTaskComplete,
       EventKind::kHintDispatch, EventKind::kAnchor, EventKind::kTaskBegin,
       EventKind::kTaskEnd, EventKind::kMiss, EventKind::kPingPong,
-      EventKind::kSuperstep, EventKind::kEpoch, EventKind::kJobAdmit,
-      EventKind::kJobBegin, EventKind::kJobEnd};
+      EventKind::kSuperstep, EventKind::kJobAdmit, EventKind::kJobBegin,
+      EventKind::kJobEnd};
   for (EventKind k : kAll) {
     const std::string_view base = event_name(k);
     if (name == base ||
@@ -421,7 +421,7 @@ Result<std::vector<RunAnalysis>> analyze(const TraceData& trace,
         break;
       }
       default:
-        // Native-layer and NO/psim events carry no DAG structure.
+        // Native-layer and NO events carry no DAG structure.
         break;
     }
   }

@@ -22,7 +22,6 @@ std::string_view event_name(EventKind kind) {
     case EventKind::kMiss: return "miss";
     case EventKind::kPingPong: return "pingpong";
     case EventKind::kSuperstep: return "superstep";
-    case EventKind::kEpoch: return "psim.epoch";
     case EventKind::kJobAdmit: return "job.admit";
     case EventKind::kJobBegin: return "job.begin";
     case EventKind::kJobEnd: return "job.end";

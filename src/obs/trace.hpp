@@ -66,10 +66,6 @@ enum class EventKind : std::uint8_t {
                     ///< (kNoEviction = none), c=anchored task id
   kPingPong,        ///< coherence invalidation: a=block, c=anchored task id
   kSuperstep,       ///< NO superstep close: a=index, b=words, c=fold-0 h
-  kEpoch,           ///< psim epoch close (opt-in via OBLIV_PSIM_TRACE=1):
-                    ///< a=epoch index, b=buffered accesses, c=1 if the
-                    ///< epoch fell back to serial replay; detail=cores
-                    ///< active in the epoch
   kJobAdmit,        ///< serve admission: a=job seq, b=space est words,
                     ///< c=total admitted words after; detail=Family
   kJobBegin,        ///< serve job body start on a worker: a=job seq,
@@ -308,15 +304,6 @@ class Tracer {
     emit(0, kind, detail, tid, a, b, task_id_);
   }
 
-  /// Deferred-emission entry point (hm/psim.hpp): appends a fully-formed
-  /// event -- timestamp and attribution already stamped at capture time --
-  /// so replay that happens after the fact can reproduce the exact stream
-  /// a live emitter would have produced.
-  void emit_prestamped(std::uint32_t ring, const Event& e) {
-    if (!events_enabled_) return;
-    rings_[ring].push(e);
-  }
-
   // ---- Export lanes -------------------------------------------------------
 
   /// Registers a human-readable name for an export lane (Chrome tid); the
@@ -386,7 +373,6 @@ inline constexpr std::uint32_t cache_lane(std::uint32_t level,
   return 100 * level + idx;
 }
 inline constexpr std::uint32_t kSuperstepLane = 90;
-inline constexpr std::uint32_t kPsimEpochLane = 91;
 inline constexpr std::uint32_t kServeLane = 92;
 
 /// Serializes the tracer's events as Chrome trace_event JSON (the "JSON

@@ -93,20 +93,6 @@ RunMetrics SimExecutor::run(std::uint64_t space_words,
   rr_counter_ = 0;
   next_task_id_ = 0;
   for (auto& row : cache_load_) std::fill(row.begin(), row.end(), 0);
-  // Engine selection is per run: OBLIV_PSIM can flip between runs, and a
-  // failed try_run leaves psim_buf_ set -- begin_run below resets it all.
-  psim_buf_ = nullptr;
-  if (hm::resolve_psim_mode(policy_.psim) == hm::PsimMode::kSharded) {
-    if (psim_ == nullptr) {
-      psim_ = std::make_unique<hm::ShardedCacheSim>(cache_);
-    }
-    psim_->begin_run(tracer_, &work_);
-    psim_buf_ = &psim_->buffer();
-    psim_grain_ = policy_.psim_epoch_grain != 0
-                      ? policy_.psim_epoch_grain
-                      : hm::ShardedCacheSim::kDefaultEpochGrain;
-    psim_cap_ = psim_grain_ * hm::ShardedCacheSim::kHardCapFactor;
-  }
   const std::uint32_t lvl = cfg_.smallest_level_fitting(space_words);
   ctx_ = Ctx{lvl, 0, 0};
   if constexpr (obs::kTracingCompiledIn) {
@@ -125,10 +111,6 @@ RunMetrics SimExecutor::run(std::uint64_t space_words,
                  /*b=*/span_, /*c=*/0);
     }
   }
-  if (psim_buf_ != nullptr) {
-    psim_->flush();
-    psim_buf_ = nullptr;
-  }
   ctx_ = Ctx{cfg_.h(), 0, 0};
   RunMetrics m = metrics();
   if constexpr (obs::kTracingCompiledIn) {
@@ -143,12 +125,6 @@ RunMetrics SimExecutor::run(std::uint64_t space_words,
       for (std::size_t i = 0; i < tally_.anchors_per_level.size(); ++i) {
         reg.set("sched.anchor.L" + std::to_string(i + 1),
                 tally_.anchors_per_level[i]);
-      }
-      // Epoch stats only when the opt-in epoch lane is on: the default
-      // export must stay byte-identical to a serial run.
-      if (psim_ != nullptr && psim_->epoch_trace_enabled()) {
-        reg.set("psim.epochs", psim_->epochs());
-        reg.set("psim.fallback_epochs", psim_->fallback_epochs());
       }
     }
   }
@@ -263,8 +239,6 @@ void SimExecutor::cgc_pfor(
     max_end = std::max(max_end, end);
   }
   span_ = max_end;
-  // A CGC construct end is a shared-level sync point: eligible epoch cut.
-  maybe_flush_psim();
 }
 
 void SimExecutor::cgc_pfor_each(
@@ -329,8 +303,6 @@ void SimExecutor::sb_parallel(std::vector<SbTask> tasks) {
     max_end = std::max(max_end, end);
   }
   span_ = max_end;
-  // An SB join is a shared-level sync point: eligible epoch cut.
-  maybe_flush_psim();
 }
 
 void SimExecutor::sb_parallel2(std::uint64_t space1,
@@ -370,7 +342,6 @@ void SimExecutor::sb_seq(std::uint64_t space_words,
   const std::uint64_t end = run_child(lvl, idx, body, span_);
   if (lvl <= cfg_.cache_levels()) cache_load_[lvl - 1][idx] += work_ - w0;
   span_ = end;
-  maybe_flush_psim();
 }
 
 void SimExecutor::cgc_sb_pfor(
@@ -398,7 +369,6 @@ void SimExecutor::cgc_sb_pfor(
       max_end = std::max(max_end, local);
     }
     span_ = max_end;
-    maybe_flush_psim();
     return;
   }
 
@@ -440,8 +410,6 @@ void SimExecutor::cgc_sb_pfor(
     max_end = std::max(max_end, local);
   }
   span_ = max_end;
-  // A CGC=>SB spread end is a shared-level sync point: eligible epoch cut.
-  maybe_flush_psim();
 }
 
 }  // namespace obliv::sched

@@ -24,7 +24,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,7 +31,6 @@
 #include "fault/status.hpp"
 #include "hm/cache_sim.hpp"
 #include "hm/config.hpp"
-#include "hm/psim.hpp"
 #include "hm/trace.hpp"
 #include "obs/trace.hpp"
 #include "sched/hints.hpp"
@@ -60,20 +58,14 @@ struct SimPolicy {
   /// t = max(i, j) rule.  With few subtasks this strands the cores below
   /// unused anchor caches (ablated in bench_sched_ablation).
   bool cgcsb_fit_only = false;
-  /// Cache-simulation engine: serial oracle or the sharded replay engine
-  /// (hm/psim.hpp).  kAuto resolves per run() against OBLIV_PSIM and the
-  /// host core count; counters and traces are byte-identical either way.
-  hm::PsimMode psim = hm::PsimMode::kAuto;
-  /// Sharded engine epoch grain: buffered accesses that make the buffer
-  /// flush-eligible at a sync point (0 = ShardedCacheSim::kDefaultEpochGrain;
-  /// the mid-construct hard cap is kHardCapFactor times this).  Fuzzed by
-  /// tests/test_psim_fuzz.cpp to randomize epoch boundaries.
-  std::uint64_t psim_epoch_grain = 0;
+  /// Unused.  The serial hm::CacheSim is the only simulation engine; the
+  /// field and its one-value enum remain so that code written against the
+  /// removed engine switch keeps compiling.  Nothing reads it.
+  hm::PsimMode psim = hm::PsimMode::kSerial;
 };
 
-/// The canonical trace record now lives in hm/trace.hpp (the hm layer's
-/// replay engine consumes streams without depending on sched); re-exported
-/// here so existing benches/tests keep compiling unchanged.
+/// The trace record lives in hm/trace.hpp so that replay code needs no
+/// scheduler header; re-exported here for the benches that capture traces.
 using TraceEntry = hm::TraceEntry;
 
 class SimExecutor {
@@ -126,9 +118,8 @@ class SimExecutor {
   /// repeat touches of a B_1 block exactly (see hm/cache_sim.hpp).
   void access(std::uint64_t addr, std::uint32_t words, bool write) {
     if constexpr (obs::kTracingCompiledIn) {
-      // Access-run-length distribution (how effective PR 3's run batching
-      // is for this workload); recorded at capture time so serial and
-      // sharded replay produce identical registries.
+      // Access-run-length distribution: how effective run batching is
+      // for this workload.
       if (tracer_ != nullptr) [[unlikely]] {
         hist_access_words_->record(words);
       }
@@ -137,18 +128,6 @@ class SimExecutor {
       trace_->push_back(TraceEntry{addr, words,
                                    static_cast<std::uint8_t>(ctx_.core),
                                    static_cast<std::uint8_t>(write)});
-    }
-    if (psim_buf_ != nullptr) [[unlikely]] {
-      // Sharded engine: buffer the access (with the obs context a live
-      // emission would have used) instead of simulating it now.  ts is
-      // work_ *before* tick, matching when cache_.access would emit.
-      psim_buf_->push_back(hm::PsimAccess{
-          addr, words, static_cast<std::uint8_t>(ctx_.core),
-          static_cast<std::uint8_t>(write), work_,
-          tracer_ != nullptr ? tracer_->current_task() : 0});
-      if (psim_buf_->size() >= psim_cap_) psim_->flush();
-      tick(words);
-      return;
     }
     cache_.access(ctx_.core, addr, words, write);
     tick(words);
@@ -251,27 +230,12 @@ class SimExecutor {
 
   // ---- obs emission helpers (no-ops when tracing is compiled out) ---------
 
-  /// Routes a scheduler event to the tracer -- directly in serial mode, or
-  /// deferred at the current buffer position when the sharded engine is
-  /// buffering, so the flush interleaves it exactly where live emission
-  /// would have placed it.  Caller must have checked tracer_ != nullptr.
+  /// Routes a scheduler event to the tracer.  Caller must have checked
+  /// tracer_ != nullptr.
   void emit_sched(obs::EventKind kind, std::uint8_t detail, std::uint32_t tid,
                   std::uint64_t a, std::uint64_t b, std::uint64_t c) {
     if constexpr (obs::kTracingCompiledIn) {
-      if (psim_buf_ != nullptr) {
-        psim_->defer_sched_event(
-            obs::Event{tracer_->now(), a, b, c, tid, kind, detail});
-      } else {
-        tracer_->emit(0, kind, detail, tid, a, b, c);
-      }
-    }
-  }
-
-  /// Flushes the sharded engine's buffer at a shared-level sync point
-  /// (construct end) once it has reached the epoch grain.
-  void maybe_flush_psim() {
-    if (psim_buf_ != nullptr && psim_buf_->size() >= psim_grain_) {
-      psim_->flush();
+      tracer_->emit(0, kind, detail, tid, a, b, c);
     }
   }
 
@@ -326,14 +290,6 @@ class SimExecutor {
   hm::MachineConfig cfg_;
   SimPolicy policy_;
   hm::CacheSim cache_;
-  // Sharded replay engine (hm/psim.hpp), created lazily on the first run()
-  // that resolves to kSharded.  psim_buf_ is non-null exactly while such a
-  // run is buffering; it aliases psim_->buffer(), which is stable across
-  // flushes.
-  std::unique_ptr<hm::ShardedCacheSim> psim_;
-  std::vector<hm::PsimAccess>* psim_buf_ = nullptr;
-  std::uint64_t psim_grain_ = 0;  ///< sync-point flush threshold (entries)
-  std::uint64_t psim_cap_ = 0;    ///< mid-construct hard cap (entries)
   Ctx ctx_;
   std::uint64_t work_ = 0;
   std::uint64_t span_ = 0;

@@ -46,6 +46,11 @@ struct AdversarialCase {
   std::vector<std::uint64_t> (*make)(std::size_t);
 };
 
+// Print the case by name: gtest's default prints the raw bytes of the two
+// pointers, which ASLR changes on every test discovery, so the ctest names
+// of these cases would differ from one build to the next.
+void PrintTo(const AdversarialCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<std::uint64_t> all_equal(std::size_t n) {
   return std::vector<std::uint64_t>(n, 42);
 }

@@ -9,18 +9,16 @@
 // latency that closed-loop generators hide.  Job sizes are heavy-tailed
 // (bounded Pareto), families mixed, everything seeded.  Per-QPS-point
 // results (p50/p99/p999 latency, goodput) land in BENCH_serve.json, plus
-// one record for the measured single-job serving overhead, via the shared
-// bench::write_json_env_header() preamble.  `--smoke` writes no JSON: the
-// file is tracked, and only a full-mode run may replace it.
+// one record for the measured single-job serving overhead, through
+// bench::JsonWriter.  `--smoke` writes no JSON: the file is tracked, and
+// only a full-mode run may replace it.
 //
 // `--serve-off-check` is the CI guardrail: serving a single job through
 // submit/admission/fork/complete must cost <= 5% over invoking the same
-// algorithm directly on a NativeExecutor.  Same paired-ratio statistics as
-// bench_wallclock's --fault-off-check: per repetition the direct / direct
-// / served cells run back-to-back with alternating order, ratios aggregate
-// by median so host drift divides out, A/A measures the residual pairing
-// noise, gate overhead <= max(5%, A/A + 1%), one confirming re-measure
-// before failing.  `--smoke` measures and prints but does not gate.
+// algorithm directly on a NativeExecutor, gated by bench::paired_gate
+// (statistics in bench/paired_gate.hpp).  `--cancel-off-check` gates the
+// cancellation plumbing on never-cancelled jobs the same way.  `--smoke`
+// measures and prints but does not gate.
 //
 // On a 1-core container the numbers show serving overhead and queueing,
 // not parallel speedup; BENCH_serve.json records hardware_concurrency so
@@ -31,7 +29,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -44,6 +41,7 @@
 #include "algo/transpose.hpp"
 #include "common.hpp"
 #include "obs/trace.hpp"
+#include "paired_gate.hpp"
 #include "sched/cancel.hpp"
 #include "sched/native_executor.hpp"
 #include "serve/serve.hpp"
@@ -81,54 +79,24 @@ struct ServeRecord {
   double noise_pct = 0;    ///< off_check rows: A/A pairing noise
 };
 
-class ServeRecorder {
- public:
-  ServeRecorder(std::string path, std::uint64_t seed)
-      : path_(std::move(path)), seed_(seed) {}
-
-  void add(ServeRecord r) { records_.push_back(std::move(r)); }
-
-  bool write() const {
-    std::ofstream out(path_);
-    if (!out) {
-      std::cerr << "warning: cannot write " << path_ << "\n";
-      return false;
-    }
-    bench::write_json_env_header(out);
-    // Generator seed in the header (not per record): one seed drives every
-    // open-loop row of a run -- the reproduction knob, same convention as
-    // OBLIV_FAULT_SEED for the fault fuzzer.
-    out << "  \"seed\": " << seed_ << ",\n";
-    out << "  \"records\": [\n";
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      const ServeRecord& r = records_[i];
-      out << "    {\"bench\": \"" << r.bench
-          << "\", \"threads\": " << r.threads
-          << ", \"qps\": " << util::Table::fmt(r.qps, "%.0f")
-          << ", \"jobs\": " << r.jobs
-          << ", \"completed_ok\": " << r.completed_ok
-          << ", \"rejected\": " << r.rejected
-          << ", \"cancelled\": " << r.cancelled
-          << ", \"shed\": " << r.shed
-          << ", \"p50_ms\": " << util::Table::fmt(r.p50_ms, "%.3f")
-          << ", \"p99_ms\": " << util::Table::fmt(r.p99_ms, "%.3f")
-          << ", \"p999_ms\": " << util::Table::fmt(r.p999_ms, "%.3f")
-          << ", \"goodput_jps\": " << util::Table::fmt(r.goodput_jps, "%.1f")
-          << ", \"overhead_pct\": " << util::Table::fmt(r.overhead_pct, "%.2f")
-          << ", \"noise_pct\": " << util::Table::fmt(r.noise_pct, "%.2f")
-          << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << path_ << " (" << records_.size()
-              << " records, git_rev=" << bench::git_rev() << ")\n";
-    return true;
-  }
-
- private:
-  std::string path_;
-  std::uint64_t seed_;
-  std::vector<ServeRecord> records_;
-};
+/// One BENCH_serve.json record.
+std::string to_json(const ServeRecord& r) {
+  using util::Table;
+  return "{\"bench\": \"" + r.bench +
+         "\", \"threads\": " + std::to_string(r.threads) +
+         ", \"qps\": " + Table::fmt(r.qps, "%.0f") +
+         ", \"jobs\": " + std::to_string(r.jobs) +
+         ", \"completed_ok\": " + std::to_string(r.completed_ok) +
+         ", \"rejected\": " + std::to_string(r.rejected) +
+         ", \"cancelled\": " + std::to_string(r.cancelled) +
+         ", \"shed\": " + std::to_string(r.shed) +
+         ", \"p50_ms\": " + Table::fmt(r.p50_ms, "%.3f") +
+         ", \"p99_ms\": " + Table::fmt(r.p99_ms, "%.3f") +
+         ", \"p999_ms\": " + Table::fmt(r.p999_ms, "%.3f") +
+         ", \"goodput_jps\": " + Table::fmt(r.goodput_jps, "%.1f") +
+         ", \"overhead_pct\": " + Table::fmt(r.overhead_pct, "%.2f") +
+         ", \"noise_pct\": " + Table::fmt(r.noise_pct, "%.2f") + "}";
+}
 
 // ---------------------------------------------------------------------------
 // Open-loop traffic generation
@@ -310,14 +278,9 @@ ServeRecord run_open_loop(unsigned threads, double qps, std::size_t jobs,
 // Serving overhead vs direct invocation
 // ---------------------------------------------------------------------------
 
-struct Overhead {
-  double direct_ns = 0, served_ns = 0, noise_pct = 0, over_pct = 0;
-};
-
-/// Paired-ratio measurement of one served sort job vs the same sort run
-/// directly on an identically configured executor (see the header
-/// comment for the statistics).
-Overhead measure_overhead(int reps) {
+/// Paired measurement of one served sort job vs the same sort run directly
+/// on an identically configured executor.
+bench::PairedMeasurement measure_overhead(int reps) {
   const std::size_t n = 1 << 15;
   util::Xoshiro256 rng(4242);
   std::vector<std::uint64_t> keys(n);
@@ -340,79 +303,17 @@ Overhead measure_overhead(int reps) {
   };
   direct();
   served();  // warm-up both paths
-
-  double best_direct = 0, best_served = 0;
-  std::vector<double> over_ratios, noise_ratios;
-  for (int r = 0; r < reps; ++r) {
-    double a, a2, b;
-    if (r % 2 == 0) {
-      a = bench::time_once_ns(direct);
-      a2 = bench::time_once_ns(direct);
-      b = bench::time_once_ns(served);
-    } else {
-      b = bench::time_once_ns(served);
-      a2 = bench::time_once_ns(direct);
-      a = bench::time_once_ns(direct);
-    }
-    over_ratios.push_back(b / a2);
-    noise_ratios.push_back(a / a2);
-    const double off = std::min(a, a2);
-    if (r == 0 || off < best_direct) best_direct = off;
-    if (r == 0 || b < best_served) best_served = b;
-  }
-  auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  Overhead m;
-  m.direct_ns = best_direct;
-  m.served_ns = best_served;
-  m.noise_pct = 100.0 * std::abs(median(noise_ratios) - 1.0);
-  m.over_pct = 100.0 * (median(over_ratios) - 1.0);
-  return m;
+  return bench::paired_measure(
+      reps, [&] { return bench::time_once_ns(direct); },
+      [&] { return bench::time_once_ns(served); });
 }
 
-void print_overhead(const Overhead& m, bool ok) {
-  util::Table t({"path", "best ns/job", "A/A noise", "overhead"});
-  t.add_row({"direct", util::Table::fmt(m.direct_ns, "%.0f"), "", ""});
-  t.add_row({std::string("served") + (ok ? "" : "  <-- FAIL"),
-             util::Table::fmt(m.served_ns, "%.0f"),
-             util::Table::fmt(m.noise_pct, "%.2f%%"),
-             util::Table::fmt(m.over_pct, "%+.2f%%")});
-  t.print(std::cout);
-}
-
-/// `--serve-off-check`: gate serving overhead at max(5%, A/A + 1%), with
-/// one confirming re-measure before failing (resonance with host load can
-/// push a single measurement over; a real regression reproduces).
-int serve_off_check(bool smoke, int reps) {
-  bench::print_header("serving overhead vs direct invocation");
-  std::printf("gate %s\n",
-              smoke ? "off (smoke)" : "on (<= max(5%, A/A noise + 1%))");
-  auto within = [smoke](const Overhead& m) {
-    return smoke || m.over_pct <= std::max(5.0, m.noise_pct + 1.0);
-  };
-  Overhead m = measure_overhead(reps);
-  bool ok = within(m);
-  if (!ok) {
-    m = measure_overhead(reps);
-    ok = within(m);
-  }
-  print_overhead(m, ok);
-  if (!ok) {
-    std::printf("\nFAIL: serving overhead exceeds the budget\n");
-    return 1;
-  }
-  std::printf("\nOK: serving overhead within budget\n");
-  return 0;
-}
-
-/// Paired-ratio measurement of the PR 10 poison-check plumbing on a job
-/// that is never cancelled: the same sort, direct on one executor, with
-/// and without a live (never-poisoned) CancelToken installed.  Isolates
-/// the per-fork/per-anchor token load from the serving-path costs that
+/// Paired measurement of the poison-check plumbing on a job that is never
+/// cancelled: the same sort, direct on one executor, with and without a
+/// live (never-poisoned) CancelToken installed.  Isolates the
+/// per-fork/per-anchor token load from the serving-path costs that
 /// --serve-off-check already gates.
-Overhead measure_cancel_overhead(int reps) {
+bench::PairedMeasurement measure_cancel_overhead(int reps) {
   const std::size_t n = 1 << 15;
   util::Xoshiro256 rng(4242);
   std::vector<std::uint64_t> keys(n);
@@ -435,66 +336,38 @@ Overhead measure_cancel_overhead(int reps) {
   };
   bare();
   guarded();  // warm-up both paths
-
-  double best_bare = 0, best_guarded = 0;
-  std::vector<double> over_ratios, noise_ratios;
-  for (int r = 0; r < reps; ++r) {
-    double a, a2, b;
-    if (r % 2 == 0) {
-      a = bench::time_once_ns(bare);
-      a2 = bench::time_once_ns(bare);
-      b = bench::time_once_ns(guarded);
-    } else {
-      b = bench::time_once_ns(guarded);
-      a2 = bench::time_once_ns(bare);
-      a = bench::time_once_ns(bare);
-    }
-    over_ratios.push_back(b / a2);
-    noise_ratios.push_back(a / a2);
-    const double off = std::min(a, a2);
-    if (r == 0 || off < best_bare) best_bare = off;
-    if (r == 0 || b < best_guarded) best_guarded = b;
-  }
-  auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  Overhead m;
-  m.direct_ns = best_bare;
-  m.served_ns = best_guarded;
-  m.noise_pct = 100.0 * std::abs(median(noise_ratios) - 1.0);
-  m.over_pct = 100.0 * (median(over_ratios) - 1.0);
-  return m;
+  return bench::paired_measure(
+      reps, [&] { return bench::time_once_ns(bare); },
+      [&] { return bench::time_once_ns(guarded); });
 }
 
-/// `--cancel-off-check`: the cancellation plumbing must be free when
-/// unused -- gate <= max(5%, A/A + 1%) on uncancelled jobs, same
-/// statistics and re-measure policy as --serve-off-check.
-int cancel_off_check(bool smoke, int reps) {
-  bench::print_header("cancel-token overhead on uncancelled jobs");
-  std::printf("gate %s\n",
-              smoke ? "off (smoke)" : "on (<= max(5%, A/A noise + 1%))");
-  auto within = [smoke](const Overhead& m) {
-    return smoke || m.over_pct <= std::max(5.0, m.noise_pct + 1.0);
-  };
-  Overhead m = measure_cancel_overhead(reps);
-  bool ok = within(m);
-  if (!ok) {
-    m = measure_cancel_overhead(reps);
-    ok = within(m);
-  }
+void print_overhead(const char* base, const char* cand,
+                    const bench::PairedMeasurement& m, bool ok) {
   util::Table t({"path", "best ns/job", "A/A noise", "overhead"});
-  t.add_row({"no token", util::Table::fmt(m.direct_ns, "%.0f"), "", ""});
-  t.add_row({std::string("token installed") + (ok ? "" : "  <-- FAIL"),
-             util::Table::fmt(m.served_ns, "%.0f"),
+  t.add_row({base, util::Table::fmt(m.base_ns, "%.0f"), "", ""});
+  t.add_row({std::string(cand) + (ok ? "" : "  <-- FAIL"),
+             util::Table::fmt(m.cand_ns, "%.0f"),
              util::Table::fmt(m.noise_pct, "%.2f%%"),
              util::Table::fmt(m.over_pct, "%+.2f%%")});
   t.print(std::cout);
-  if (!ok) {
-    std::printf("\nFAIL: cancel-check overhead exceeds the budget\n");
+}
+
+/// `--serve-off-check` and `--cancel-off-check`: gate one single-job
+/// measurement at max(5%, A/A noise + 1%).  `what` names the cost in the
+/// FAIL/OK line.
+int off_check(bool smoke, int reps, const char* title, const char* base,
+              const char* cand, const char* what,
+              bench::PairedMeasurement (*measure)(int)) {
+  bench::print_header(title);
+  std::printf("gate %s\n", bench::gate_label(smoke, 5.0).c_str());
+  const bench::GateResult g =
+      bench::paired_gate(smoke, 5.0, [&] { return measure(reps); });
+  print_overhead(base, cand, g.m, g.ok);
+  if (!g.ok) {
+    std::printf("\nFAIL: %s exceeds the budget\n", what);
     return 1;
   }
-  std::printf("\nOK: cancel-check overhead within budget\n");
+  std::printf("\nOK: %s within budget\n", what);
   return 0;
 }
 
@@ -514,8 +387,18 @@ int main(int argc, char** argv) {
     }
   }
   const int reps = smoke ? 5 : 15;
-  if (off_check) return obliv::serve_off_check(smoke, reps);
-  if (cancel_check) return obliv::cancel_off_check(smoke, reps);
+  if (off_check) {
+    return obliv::off_check(smoke, reps, "serving overhead vs direct invocation",
+                            "direct", "served", "serving overhead",
+                            obliv::measure_overhead);
+  }
+  if (cancel_check) {
+    return obliv::off_check(smoke, reps,
+                            "cancel-token overhead on uncancelled jobs",
+                            "no token", "token installed",
+                            "cancel-check overhead",
+                            obliv::measure_cancel_overhead);
+  }
 
   obliv::bench::print_header("serve: open-loop latency under load");
   std::printf("threads = %u, pinned = %s, seed = 0x%llx%s\n",
@@ -523,7 +406,11 @@ int main(int argc, char** argv) {
               obliv::bench::threads_pinned() ? "yes" : "no",
               static_cast<unsigned long long>(seed), smoke ? " (smoke)" : "");
 
-  obliv::ServeRecorder json("BENCH_serve.json", seed);
+  // Generator seed in the header (not per record): one seed drives every
+  // open-loop row of a run -- the reproduction knob, same convention as
+  // OBLIV_FAULT_SEED for the fault fuzzer.
+  obliv::bench::JsonWriter json("BENCH_serve.json",
+                                {{"seed", std::to_string(seed)}});
   const auto qps_points = obliv::bench::sweep<double>(smoke, {100, 400, 800});
   const std::size_t jobs = smoke ? 80 : 600;
 
@@ -545,7 +432,7 @@ int main(int argc, char** argv) {
                obliv::util::Table::fmt(r.p99_ms, "%.3f"),
                obliv::util::Table::fmt(r.p999_ms, "%.3f"),
                obliv::util::Table::fmt(r.goodput_jps, "%.1f")});
-    json.add(r);
+    json.add(obliv::to_json(r));
   };
   bool traced = false;
   for (double qps : qps_points) {
@@ -574,15 +461,15 @@ int main(int argc, char** argv) {
 
   // The overhead measurement rides along in the JSON (ungated here; the
   // gate is the separate --serve-off-check ctest entry).
-  const obliv::Overhead m = obliv::measure_overhead(reps);
-  obliv::print_overhead(m, /*ok=*/true);
+  const obliv::bench::PairedMeasurement m = obliv::measure_overhead(reps);
+  obliv::print_overhead("direct", "served", m, /*ok=*/true);
   obliv::ServeRecord oc;
   oc.bench = "serve:off_check";
   oc.threads = obliv::bench::host_concurrency();
   oc.jobs = 1;
   oc.overhead_pct = m.over_pct;
   oc.noise_pct = m.noise_pct;
-  json.add(oc);
+  json.add(obliv::to_json(oc));
 
   // BENCH_serve.json is tracked: only a full-mode run may replace it.
   if (smoke) {

@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::SimRateRecorder rec("BENCH_simrate.json");
+  bench::JsonWriter rec("BENCH_simrate.json");
   util::Table t({"bench", "config", "n", "words", "base Macc/s", "new Macc/s",
                  "speedup"});
   double logsum = 0, logsum_mo = 0;
@@ -353,8 +353,16 @@ int main(int argc, char** argv) {
         ++cnt_mo;
       }
     }
-    rec.add(row.bench, row.cfg.name(), row.n, row.words, rate_new, rate_base,
-            speedup, g_reps);
+    // Simulated words per rep, best-of-K rates of the current and (trace
+    // rows only, else 0) the vendored baseline simulator, and their ratio.
+    rec.add("{\"bench\": \"" + row.bench + "\", \"config\": \"" +
+            row.cfg.name() + "\", \"n\": " + std::to_string(row.n) +
+            ", \"accesses\": " + std::to_string(row.words) +
+            ", \"acc_per_sec\": " + util::Table::fmt(rate_new, "%.4g") +
+            ", \"base_acc_per_sec\": " +
+            util::Table::fmt(rate_base, "%.4g") +
+            ", \"speedup\": " + util::Table::fmt(speedup, "%.3f") +
+            ", \"reps\": " + std::to_string(g_reps) + "}");
     t.add_row({row.bench, row.cfg.name(), std::to_string(row.n),
                std::to_string(row.words),
                rate_base > 0 ? util::Table::fmt(rate_base / 1e6, "%.2f") : "-",

@@ -37,6 +37,7 @@
 #include "algo/spmdv.hpp"
 #include "algo/transpose.hpp"
 #include "bench/common.hpp"
+#include "bench/paired_gate.hpp"
 #include "bench/simd_kernel_benches.hpp"
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
@@ -167,6 +168,19 @@ std::vector<Workload> workloads(bool smoke) {
   return w;
 }
 
+/// One BENCH_wallclock.json record.
+std::string wallclock_record(const std::string& bench,
+                             const std::string& sched, unsigned threads,
+                             std::uint64_t n, double ns_per_op, int reps) {
+  return "{\"bench\": \"" + bench + "\", \"sched\": \"" + sched +
+         "\", \"threads\": " + std::to_string(threads) +
+         ", \"n\": " + std::to_string(n) +
+         // three decimals: the simd:* kernel rows are per-element and
+         // sub-nanosecond, where one decimal would quantize the ratios.
+         ", \"ns_per_op\": " + util::Table::fmt(ns_per_op, "%.3f") +
+         ", \"reps\": " + std::to_string(reps) + "}";
+}
+
 /// `--trace` mode: the same workloads on the work-steal backend with an
 /// obs::Tracer attached vs detached, reps interleaved traced/untraced so
 /// ambient load hits both columns equally.  Exports the last traced run of
@@ -207,103 +221,79 @@ int trace_overhead(bool smoke, int reps, const std::string& trace_path) {
   return 0;
 }
 
+constexpr unsigned kGateThreads = 4;
+
+/// One guardrail's measurement on a warmed executor and its bound run:
+/// a bench::paired_measure of the guardrail's candidate against `run`.
+using GateMeasure = std::function<bench::PairedMeasurement(
+    Exec&, const std::function<void()>&)>;
+
+/// Shared body of the wallclock guardrails: one bench::paired_gate row per
+/// workload (statistics in bench/paired_gate.hpp), each measured on a fresh
+/// 4-thread work-stealing executor, printed under the guardrail's own
+/// column names.  Returns whether every row passed.
+bool gate_workloads(bool smoke, double floor_pct, const char* base_col,
+                    const char* cand_col, const GateMeasure& measure) {
+  util::Table t({"workload", base_col, "A/A noise", cand_col, "overhead"});
+  bool all_ok = true;
+  for (const auto& w : workloads(smoke)) {
+    const bench::GateResult g = bench::paired_gate(smoke, floor_pct, [&] {
+      Exec ex(kGateThreads, 1 << 12, sched::SchedMode::kWorkSteal);
+      auto run = w.make(ex);
+      run();  // warm-up
+      return measure(ex, run);
+    });
+    all_ok = all_ok && g.ok;
+    t.add_row({w.name + (g.ok ? "" : "  <-- FAIL"),
+               util::Table::fmt(g.m.base_ns, "%.0f"),
+               util::Table::fmt(g.m.noise_pct, "%.2f%%"),
+               util::Table::fmt(g.m.cand_ns, "%.0f"),
+               util::Table::fmt(g.m.over_pct, "%+.2f%%")});
+  }
+  t.print(std::cout);
+  return all_ok;
+}
+
 /// `--hist-off-check` mode: the guardrail for the histogram metrics.  A
 /// *detached* tracer (the state every untraced run is in) must cost
 /// nothing: every histogram site sits behind the executor's `tracer_ !=
 /// nullptr` branch.  The measurable upper bound is a tracer attached with
 /// events disabled (set_events_enabled(false)): histogram record() calls
-/// -- a handful of relaxed atomics -- fire, ring traffic does not.  Same
-/// paired-ratio statistics as fault_off_check: per rep the detached /
-/// detached / metrics-only cells run back-to-back with alternating order,
-/// within-rep ratios aggregate as medians, gate (full mode only) is
-/// overhead <= max(1%, A/A noise + 1%), and a failing workload re-measures
-/// once before failing for real.
+/// -- a handful of relaxed atomics -- fire, ring traffic does not.  Gate
+/// (full mode only): overhead of metrics-only over detached <= max(1%,
+/// A/A noise + 1%).
 int hist_off_check(bool smoke, int reps) {
   bench::print_header("histogram metrics overhead when no tracer attached");
-  const unsigned threads = 4;
-  std::printf("threads = %u, tracing compiled %s, gate %s\n", threads,
+  std::printf("threads = %u, tracing compiled %s, gate %s\n", kGateThreads,
               obs::kTracingCompiledIn ? "in" : "out",
-              smoke ? "off (smoke)" : "on (<= max(1%, A/A noise + 1%))");
+              bench::gate_label(smoke, 1.0).c_str());
   if (!obs::kTracingCompiledIn) {
     std::printf("nothing to measure: trace hooks fold away at compile time\n");
     return 0;
   }
-  util::Table t({"workload", "detached ns/op", "A/A noise",
-                 "metrics-only ns/op", "overhead"});
-  bool gate_ok = true;
-  struct Measurement {
-    double best_off, best_on, noise_pct, over_pct;
-  };
-  auto measure = [&](const Workload& w) {
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
-    run();  // warm-up
-    obs::Tracer tracer(threads);
-    tracer.set_events_enabled(false);
-    double best_off = 0, best_on = 0;
-    std::vector<double> over_ratios, noise_ratios;
-    for (int r = 0; r < reps; ++r) {
-      // Alternate the within-rep order: a fixed order hands the same cell
-      // the tail of every load burst and biases the comparison.
-      double a, a2, b;
-      if (r % 2 == 0) {
-        a = bench::time_once_ns(run);
-        a2 = bench::time_once_ns(run);
-        ex.set_tracer(&tracer);
-        b = bench::time_once_ns(run);
-        ex.set_tracer(nullptr);
-      } else {
-        ex.set_tracer(&tracer);
-        b = bench::time_once_ns(run);
-        ex.set_tracer(nullptr);
-        a2 = bench::time_once_ns(run);
-        a = bench::time_once_ns(run);
-      }
-      // a2 is adjacent to both a and b in either order; both ratios span
-      // the same time distance.
-      over_ratios.push_back(b / a2);
-      noise_ratios.push_back(a / a2);
-      const double off = std::min(a, a2);
-      if (r == 0 || off < best_off) best_off = off;
-      if (r == 0 || b < best_on) best_on = b;
-    }
-    auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    return Measurement{best_off, best_on,
-                       100.0 * std::abs(median(noise_ratios) - 1.0),
-                       100.0 * (median(over_ratios) - 1.0)};
-  };
-  auto within = [smoke](const Measurement& m) {
-    return smoke || m.over_pct <= std::max(1.0, m.noise_pct + 1.0);
-  };
-  for (const auto& w : workloads(smoke)) {
-    Measurement m = measure(w);
-    bool ok = within(m);
-    if (!ok) {
-      // Confirm before failing: a real hook regression reproduces, a
-      // host-load resonance artifact does not.
-      m = measure(w);
-      ok = within(m);
-    }
-    gate_ok = gate_ok && ok;
-    t.add_row({w.name + (ok ? "" : "  <-- FAIL"),
-               util::Table::fmt(m.best_off, "%.0f"),
-               util::Table::fmt(m.noise_pct, "%.2f%%"),
-               util::Table::fmt(m.best_on, "%.0f"),
-               util::Table::fmt(m.over_pct, "%+.2f%%")});
-  }
-  t.print(std::cout);
+  const bool gate_ok = gate_workloads(
+      smoke, 1.0, "detached ns/op", "metrics-only ns/op",
+      [reps](Exec& ex, const std::function<void()>& run) {
+        obs::Tracer tracer(kGateThreads);
+        tracer.set_events_enabled(false);
+        return bench::paired_measure(
+            reps, [&] { return bench::time_once_ns(run); },
+            [&] {
+              ex.set_tracer(&tracer);
+              const double ns = bench::time_once_ns(run);
+              ex.set_tracer(nullptr);
+              return ns;
+            });
+      });
   // The metrics-only cells must actually have recorded distributions --
   // otherwise the gate would be vacuously green.
   std::uint64_t hist_count = 0;
   {
     const auto smoke_workloads = workloads(true);
     const auto& w = smoke_workloads.front();
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
+    Exec ex(kGateThreads, 1 << 12, sched::SchedMode::kWorkSteal);
     auto run = w.make(ex);
-    obs::Tracer tracer(threads);
+    obs::Tracer tracer(kGateThreads);
     tracer.set_events_enabled(false);
     ex.set_tracer(&tracer);
     run();
@@ -332,98 +322,30 @@ int hist_off_check(bool smoke, int reps) {
 /// production run is in) must cost nothing: each hook is one pointer load
 /// and branch.  An attached-but-inert plan is the measurable upper bound
 /// on that cost (same hooks plus one probability load + branch each).
-///
-/// Statistics for a drifting shared host: per repetition the detached /
-/// detached / inert cells run back-to-back (order alternating), and the
-/// *ratio* within each repetition is what gets aggregated -- paired runs
-/// sit in the same interference window, so host drift divides out of the
-/// ratio even when absolute ns/op swings by 2x across the run.  Both
-/// ratios compare runs adjacent to the shared middle cell (inert/detached
-/// and detached/detached), keeping the time distance -- and therefore the
-/// drift exposure -- identical; comparing against the min of the two
-/// detached runs instead would bias the denominator low and read pure
-/// noise as +overhead.  The reported overhead is the median ratio across
-/// reps; the A/A median is the residual pairing-noise floor.  Gate (full
-/// mode only): overhead <= max(1%, A/A + 1%).  Smoke mode measures and
-/// prints but does not gate.
+/// Gate (full mode only): overhead of inert over detached <= max(1%, A/A
+/// noise + 1%).  It caught a real +50% steal-counter regression.
 int fault_off_check(bool smoke, int reps) {
   bench::print_header("fault-injection layer overhead when inactive");
-  const unsigned threads = 4;
-  std::printf("threads = %u, faults compiled %s, gate %s\n", threads,
+  std::printf("threads = %u, faults compiled %s, gate %s\n", kGateThreads,
               fault::kFaultsCompiledIn ? "in" : "out",
-              smoke ? "off (smoke)" : "on (<= max(1%, A/A noise + 1%))");
+              bench::gate_label(smoke, 1.0).c_str());
   if (!fault::kFaultsCompiledIn) {
     std::printf("nothing to measure: hooks fold away at compile time\n");
     return 0;
   }
-  util::Table t({"workload", "detached ns/op", "A/A noise", "inert ns/op",
-                 "overhead"});
-  bool gate_ok = true;
-  struct Measurement {
-    double best_off, best_on, noise_pct, over_pct;
-  };
-  auto measure = [&](const Workload& w) {
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
-    run();  // warm-up
-    fault::FaultPlan inert(1, fault::FaultOptions::inert());
-    double best_off = 0, best_on = 0;
-    std::vector<double> over_ratios, noise_ratios;
-    for (int r = 0; r < reps; ++r) {
-      // Alternate the within-rep order: a fixed order hands the same cell
-      // the tail of every load burst and biases the comparison.
-      double a, a2, b;
-      if (r % 2 == 0) {
-        a = bench::time_once_ns(run);
-        a2 = bench::time_once_ns(run);
-        ex.set_fault_plan(&inert);
-        b = bench::time_once_ns(run);
-        ex.set_fault_plan(nullptr);
-      } else {
-        ex.set_fault_plan(&inert);
-        b = bench::time_once_ns(run);
-        ex.set_fault_plan(nullptr);
-        a2 = bench::time_once_ns(run);
-        a = bench::time_once_ns(run);
-      }
-      // a2 is adjacent to both a and b in either order; both ratios span
-      // the same time distance.
-      over_ratios.push_back(b / a2);
-      noise_ratios.push_back(a / a2);
-      const double off = std::min(a, a2);
-      if (r == 0 || off < best_off) best_off = off;
-      if (r == 0 || b < best_on) best_on = b;
-    }
-    auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    return Measurement{best_off, best_on,
-                       100.0 * std::abs(median(noise_ratios) - 1.0),
-                       100.0 * (median(over_ratios) - 1.0)};
-  };
-  auto within = [smoke](const Measurement& m) {
-    return smoke || m.over_pct <= std::max(1.0, m.noise_pct + 1.0);
-  };
-  for (const auto& w : workloads(smoke)) {
-    Measurement m = measure(w);
-    bool ok = within(m);
-    if (!ok) {
-      // Confirm before failing: host load oscillating in resonance with
-      // the repetition cadence can push one measurement past the budget.
-      // A real hook regression (the +50% steal-counter one this guardrail
-      // caught) reproduces; a resonance artifact does not.
-      m = measure(w);
-      ok = within(m);
-    }
-    gate_ok = gate_ok && ok;
-    t.add_row({w.name + (ok ? "" : "  <-- FAIL"),
-               util::Table::fmt(m.best_off, "%.0f"),
-               util::Table::fmt(m.noise_pct, "%.2f%%"),
-               util::Table::fmt(m.best_on, "%.0f"),
-               util::Table::fmt(m.over_pct, "%+.2f%%")});
-  }
-  t.print(std::cout);
+  const bool gate_ok = gate_workloads(
+      smoke, 1.0, "detached ns/op", "inert ns/op",
+      [reps](Exec& ex, const std::function<void()>& run) {
+        fault::FaultPlan inert(1, fault::FaultOptions::inert());
+        return bench::paired_measure(
+            reps, [&] { return bench::time_once_ns(run); },
+            [&] {
+              ex.set_fault_plan(&inert);
+              const double ns = bench::time_once_ns(run);
+              ex.set_fault_plan(nullptr);
+              return ns;
+            });
+      });
   if (!gate_ok) {
     std::printf("\nFAIL: inactive fault layer exceeds the overhead budget\n");
     return 1;
@@ -446,7 +368,7 @@ using bench::kernel_benches;
 /// windows.  Rows land in BENCH_wallclock.json as bench="simd:<family>",
 /// sched="auto"|"scalar"; the printed ratio column is scalar/auto (>1 means
 /// the vector path wins) with a geometric mean over families.
-void simd_kernel_section(bool smoke, int reps, bench::JsonRecorder& json) {
+void simd_kernel_section(bool smoke, int reps, bench::JsonWriter& json) {
   bench::print_header("SIMD kernels: scalar vs vector dispatch");
   std::printf("active ISA under kAuto: %s (lane width %u), compiled %s\n",
               simd::active_isa(), simd::lane_width(),
@@ -483,8 +405,10 @@ void simd_kernel_section(bool smoke, int reps, bench::JsonRecorder& json) {
     }
     const double ops = static_cast<double>(kb.n) * static_cast<double>(kb.iters);
     const double auto_ns = best_auto / ops, scalar_ns = best_scalar / ops;
-    json.add("simd:" + kb.name, "scalar", 1, kb.n, scalar_ns, reps);
-    json.add("simd:" + kb.name, "auto", 1, kb.n, auto_ns, reps);
+    json.add(wallclock_record("simd:" + kb.name, "scalar", 1, kb.n, scalar_ns,
+                              reps));
+    json.add(
+        wallclock_record("simd:" + kb.name, "auto", 1, kb.n, auto_ns, reps));
     t.add_row({kb.name, util::Table::fmt(kb.n),
                util::Table::fmt(scalar_ns, "%.3f"),
                util::Table::fmt(auto_ns, "%.3f"),
@@ -503,87 +427,26 @@ void simd_kernel_section(bool smoke, int reps, bench::JsonRecorder& json) {
 /// Mode::kGeneric makes use_kernels() false, so leaves take their pre-kernel
 /// generic loops.  The scalar kernel paths must not be materially slower
 /// than those generic loops -- otherwise turning SIMD off (or running on a
-/// non-vector host) would regress below the pre-SIMD baseline.  Same
-/// paired-ratio statistics as --fault-off-check: per rep the generic /
-/// generic / scalar cells run back-to-back with alternating order,
-/// within-rep ratios aggregate as medians, gate (full mode only) is
-/// overhead <= max(5%, A/A noise + 1%) -- 5% because scalar kernels and
-/// generic loops are genuinely different code, not one branch apart.
+/// non-vector host) would regress below the pre-SIMD baseline.  Gate (full
+/// mode only): overhead of scalar over generic <= max(5%, A/A noise + 1%)
+/// -- 5% because scalar kernels and generic loops are genuinely different
+/// code, not one branch apart.
 int simd_off_check(bool smoke, int reps) {
   bench::print_header("scalar kernel paths vs pre-kernel generic loops");
-  const unsigned threads = 4;
-  std::printf("threads = %u, simd compiled %s, gate %s\n", threads,
+  std::printf("threads = %u, simd compiled %s, gate %s\n", kGateThreads,
               simd::kSimdCompiledIn ? "in" : "out",
-              smoke ? "off (smoke)" : "on (<= max(5%, A/A noise + 1%))");
-  util::Table t({"workload", "generic ns/op", "A/A noise", "scalar ns/op",
-                 "overhead"});
-  bool gate_ok = true;
-  struct Measurement {
-    double best_off, best_on, noise_pct, over_pct;
+              bench::gate_label(smoke, 5.0).c_str());
+  auto timed_in = [](simd::Mode mode, const std::function<void()>& run) {
+    simd::ScopedMode m(mode);
+    return bench::time_once_ns(run);
   };
-  auto measure = [&](const Workload& w) {
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
-    run();  // warm-up
-    double best_off = 0, best_on = 0;
-    std::vector<double> over_ratios, noise_ratios;
-    for (int r = 0; r < reps; ++r) {
-      double a, a2, b;
-      if (r % 2 == 0) {
-        {
-          simd::ScopedMode m(simd::Mode::kGeneric);
-          a = bench::time_once_ns(run);
-          a2 = bench::time_once_ns(run);
-        }
-        {
-          simd::ScopedMode m(simd::Mode::kScalar);
-          b = bench::time_once_ns(run);
-        }
-      } else {
-        {
-          simd::ScopedMode m(simd::Mode::kScalar);
-          b = bench::time_once_ns(run);
-        }
-        {
-          simd::ScopedMode m(simd::Mode::kGeneric);
-          a2 = bench::time_once_ns(run);
-          a = bench::time_once_ns(run);
-        }
-      }
-      over_ratios.push_back(b / a2);
-      noise_ratios.push_back(a / a2);
-      const double off = std::min(a, a2);
-      if (r == 0 || off < best_off) best_off = off;
-      if (r == 0 || b < best_on) best_on = b;
-    }
-    auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    return Measurement{best_off, best_on,
-                       100.0 * std::abs(median(noise_ratios) - 1.0),
-                       100.0 * (median(over_ratios) - 1.0)};
-  };
-  auto within = [smoke](const Measurement& m) {
-    return smoke || m.over_pct <= std::max(5.0, m.noise_pct + 1.0);
-  };
-  for (const auto& w : workloads(smoke)) {
-    Measurement m = measure(w);
-    bool ok = within(m);
-    if (!ok) {
-      // Confirm before failing (same rationale as fault_off_check): a real
-      // scalar-kernel regression reproduces, a load-resonance blip does not.
-      m = measure(w);
-      ok = within(m);
-    }
-    gate_ok = gate_ok && ok;
-    t.add_row({w.name + (ok ? "" : "  <-- FAIL"),
-               util::Table::fmt(m.best_off, "%.0f"),
-               util::Table::fmt(m.noise_pct, "%.2f%%"),
-               util::Table::fmt(m.best_on, "%.0f"),
-               util::Table::fmt(m.over_pct, "%+.2f%%")});
-  }
-  t.print(std::cout);
+  const bool gate_ok = gate_workloads(
+      smoke, 5.0, "generic ns/op", "scalar ns/op",
+      [reps, timed_in](Exec&, const std::function<void()>& run) {
+        return bench::paired_measure(
+            reps, [&] { return timed_in(simd::Mode::kGeneric, run); },
+            [&] { return timed_in(simd::Mode::kScalar, run); });
+      });
   if (!gate_ok) {
     std::printf("\nFAIL: scalar kernel paths regress past the generic loops\n");
     return 1;
@@ -661,7 +524,7 @@ int main(int argc, char** argv) {
       "self-relative speedup still ranks the backends)\n",
       hc, bench::threads_pinned() ? "yes" : "no");
 
-  bench::JsonRecorder json("BENCH_wallclock.json");
+  bench::JsonWriter json("BENCH_wallclock.json");
   for (const auto& w : workloads(smoke)) {
     // One cell per (threads, backend); executors and buffers stay alive for
     // the whole workload so repetitions can interleave across cells.
@@ -704,7 +567,8 @@ int main(int argc, char** argv) {
       for (std::size_t bi = 0; bi < backends.size(); ++bi) {
         for (const auto& c : cells) {
           if (c.threads != threads || c.backend != bi) continue;
-          json.add(w.name, backends[bi].first, threads, w.n, c.best_ns, reps);
+          json.add(wallclock_record(w.name, backends[bi].first, threads, w.n,
+                                    c.best_ns, reps));
           row.push_back(util::Table::fmt(c.best_ns, "%.0f"));
           row.push_back(util::Table::fmt(base[bi] / c.best_ns, "%.3f"));
         }

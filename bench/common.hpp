@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hm/config.hpp"
@@ -183,16 +184,6 @@ inline bool threads_pinned() {
   return pinned;
 }
 
-/// Opens `{` and writes the environment fields every BENCH_*.json carries
-/// (git_rev, hardware_concurrency, pinned) -- one spelling shared by every
-/// recorder so the fields can never drift apart across benches.  The
-/// caller continues with its own keys and closes the object.
-inline void write_json_env_header(std::ostream& out) {
-  out << "{\n  \"git_rev\": \"" << git_rev() << "\",\n";
-  out << "  \"hardware_concurrency\": " << host_concurrency() << ",\n";
-  out << "  \"pinned\": " << (threads_pinned() ? "true" : "false") << ",\n";
-}
-
 /// One timed execution of `fn`, in nanoseconds.
 inline double time_once_ns(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -220,26 +211,21 @@ inline double median_ns(int reps, const std::function<void()>& fn) {
   return ns[ns.size() / 2];
 }
 
-/// Collects one record per (workload, scheduler, threads, n) measurement and
-/// writes them as a JSON document, so the perf trajectory is trackable
-/// across PRs (compare BENCH_wallclock.json between checkouts).
-class JsonRecorder {
+/// Collects pre-formatted JSON record objects and writes them as one
+/// BENCH_*.json document: the environment fields every file carries
+/// (git_rev, hardware_concurrency, pinned -- one spelling, so they can never
+/// drift apart across benches), the bench's own header fields, then the
+/// `records` array, one object per line.
+class JsonWriter {
  public:
-  struct Record {
-    std::string bench;
-    std::string sched;
-    unsigned threads = 1;
-    std::uint64_t n = 0;
-    double ns_per_op = 0;
-    int reps = 0;
-  };
+  /// `header` holds the extra (key, JSON value) pairs written after the
+  /// environment fields, in order.
+  explicit JsonWriter(
+      std::string path,
+      std::vector<std::pair<std::string, std::string>> header = {})
+      : path_(std::move(path)), header_(std::move(header)) {}
 
-  explicit JsonRecorder(std::string path) : path_(std::move(path)) {}
-
-  void add(const std::string& bench_name, const std::string& sched,
-           unsigned threads, std::uint64_t n, double ns_per_op, int reps) {
-    records_.push_back(Record{bench_name, sched, threads, n, ns_per_op, reps});
-  }
+  void add(std::string record) { records_.push_back(std::move(record)); }
 
   /// Writes the collected records; returns false (and warns) on I/O error.
   bool write() const {
@@ -248,17 +234,16 @@ class JsonRecorder {
       std::cerr << "warning: cannot write " << path_ << "\n";
       return false;
     }
-    write_json_env_header(out);
+    out << "{\n  \"git_rev\": \"" << git_rev() << "\",\n";
+    out << "  \"hardware_concurrency\": " << host_concurrency() << ",\n";
+    out << "  \"pinned\": " << (threads_pinned() ? "true" : "false") << ",\n";
+    for (const auto& [key, value] : header_) {
+      out << "  \"" << key << "\": " << value << ",\n";
+    }
     out << "  \"records\": [\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      out << "    {\"bench\": \"" << r.bench << "\", \"sched\": \"" << r.sched
-          << "\", \"threads\": " << r.threads << ", \"n\": " << r.n
-          // three decimals: the simd:* kernel rows are per-element and
-          // sub-nanosecond, where one decimal would quantize the ratios.
-          << ", \"ns_per_op\": " << util::Table::fmt(r.ns_per_op, "%.3f")
-          << ", \"reps\": " << r.reps << "}"
-          << (i + 1 < records_.size() ? "," : "") << "\n";
+      out << "    " << records_[i] << (i + 1 < records_.size() ? "," : "")
+          << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "wrote " << path_ << " (" << records_.size()
@@ -268,66 +253,8 @@ class JsonRecorder {
 
  private:
   std::string path_;
-  std::vector<Record> records_;
-};
-
-/// Recorder for the simulator-throughput bench (BENCH_simrate.json).
-/// One record per (workload, machine config, n): the number of simulated
-/// word accesses per repetition, the best-of-K rate of the current
-/// simulator, and -- for trace-replay rows -- the rate of the vendored
-/// pre-optimization simulator on the identical trace plus their ratio, so
-/// the simulator's speed (and the speedup claim) is trackable across PRs.
-class SimRateRecorder {
- public:
-  struct Record {
-    std::string bench;
-    std::string config;
-    std::uint64_t n = 0;
-    std::uint64_t accesses = 0;    ///< simulated word accesses per rep
-    double acc_per_sec = 0;        ///< best-of-K, current simulator
-    double base_acc_per_sec = 0;   ///< best-of-K, baseline (0 = no baseline)
-    double speedup = 0;            ///< acc_per_sec / base_acc_per_sec
-    int reps = 0;
-  };
-
-  explicit SimRateRecorder(std::string path) : path_(std::move(path)) {}
-
-  void add(const std::string& bench_name, const std::string& config,
-           std::uint64_t n, std::uint64_t accesses, double acc_per_sec,
-           double base_acc_per_sec, double speedup, int reps) {
-    records_.push_back(Record{bench_name, config, n, accesses, acc_per_sec,
-                              base_acc_per_sec, speedup, reps});
-  }
-
-  bool write() const {
-    std::ofstream out(path_);
-    if (!out) {
-      std::cerr << "warning: cannot write " << path_ << "\n";
-      return false;
-    }
-    write_json_env_header(out);
-    out << "  \"records\": [\n";
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      out << "    {\"bench\": \"" << r.bench << "\", \"config\": \""
-          << r.config << "\", \"n\": " << r.n
-          << ", \"accesses\": " << r.accesses << ", \"acc_per_sec\": "
-          << util::Table::fmt(r.acc_per_sec, "%.4g")
-          << ", \"base_acc_per_sec\": "
-          << util::Table::fmt(r.base_acc_per_sec, "%.4g")
-          << ", \"speedup\": " << util::Table::fmt(r.speedup, "%.3f")
-          << ", \"reps\": " << r.reps << "}"
-          << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << path_ << " (" << records_.size()
-              << " records, git_rev=" << git_rev() << ")\n";
-    return true;
-  }
-
- private:
-  std::string path_;
-  std::vector<Record> records_;
+  std::vector<std::pair<std::string, std::string>> header_;
+  std::vector<std::string> records_;
 };
 
 }  // namespace obliv::bench

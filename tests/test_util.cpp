@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "util/perf_counters.hpp"
@@ -96,8 +97,8 @@ TEST(PerfCounters, DegradesGracefully) {
   // way the API must be safe to use.
   PerfCounterGroup g({PerfEvent::kInstructions});
   g.start();
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  volatile std::uint64_t sink = 0;  // the sum, 4999950000, overflows int
+  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   g.stop();
   if (g.available()) {
     ASSERT_TRUE(g.value(0).has_value());

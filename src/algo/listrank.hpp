@@ -8,10 +8,15 @@
 // the contracted list down to constant size, and extends ranks back to S.
 //
 // All inter-node communication ("what is my successor's color / rank?") is
-// done with O(1) sorts and scans per step -- the mo_pull primitive below --
-// scheduled CGC=>SB (inside SPMS) and CGC, exactly as the paper prescribes;
-// pointer-chasing random access never happens outside the constant-size
-// base case.
+// done with O(1) sorts and scans per step, scheduled CGC=>SB (inside SPMS)
+// and CGC, exactly as the paper prescribes; pointer-chasing random access
+// never happens outside the constant-size base case.  Because pred is the
+// inverse of succ, reading a field of succ[v] is a push of that field along
+// pred (mo_push below): one SPMS sort by destination where a general pull
+// (mo_pull, kept for graph.hpp's non-injective targets) needs two.  A
+// contraction level makes 9 sorts: 2 in the coin-flipping rounds (the first
+// round routes nothing), 2 for the neighbours' final colors, 2 batched
+// splices, 2 id remaps and 1 rank expansion.
 //
 // Substitution note (DESIGN.md): Figure 6 iterates over the O(log log n)
 // color classes, inserting duplicate records to block neighbors.  We apply
@@ -23,6 +28,7 @@
 // while avoiding the duplicate-record machinery.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -82,58 +88,73 @@ void mo_pull(Exec& ex, RefU64 target, RefU64 field, RefU64 out,
 
 namespace detail {
 
-/// Three-field routing record: one sort round-trip delivers three pulled
-/// fields at once (used by the contraction step, where the same target
-/// array serves several pulls -- a constant-factor saving over three
-/// separate mo_pull calls).
-struct PullRec3 {
+/// Push record: K values travelling to slot `key`.  Senders with no
+/// destination get key n + u (past every real slot), so all keys are
+/// distinct and the sort never sees a run of equal keys.
+template <std::size_t K>
+struct PushRec {
   std::uint64_t key;
-  std::uint64_t src;
-  std::uint64_t val[3];
-  bool operator<(const PullRec3& o) const {
-    return key != o.key ? key < o.key : src < o.src;
-  }
+  std::uint64_t val[K];
+  bool operator<(const PushRec& o) const { return key < o.key; }
 };
+
+/// o[k][dest[u]] = f[k][u] for k < K; d[k] wherever nothing arrives.  One
+/// SPMS sort by destination, a fill scan, and a write scan: sorted
+/// distinct keys make each chunk's writes strictly increasing addresses.
+template <std::size_t K, class Exec, class RefU64>
+void push_fields(Exec& ex, RefU64 dest, const std::array<RefU64, K>& f,
+                 const std::array<RefU64, K>& o,
+                 const std::array<std::uint64_t, K>& d) {
+  const std::uint64_t n = dest.size();
+  if (n == 0) return;
+  auto recs_buf = ex.template make_buf<PushRec<K>>(n);
+  auto recs = recs_buf.ref();
+  ex.cgc_pfor_each(0, n, K + 1, [&](std::uint64_t u) {
+    const std::uint64_t to = dest.load(u);
+    assert((to == kNil || to < n) && "push destination out of range");
+    PushRec<K> rec{to == kNil ? n + u : to, {}};
+    for (std::size_t k = 0; k < K; ++k) rec.val[k] = f[k].load(u);
+    recs.store(u, rec);
+  });
+  spms_sort(ex, recs);
+  ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) {
+    for (std::size_t k = 0; k < K; ++k) o[k].store(v, d[k]);
+  });
+  ex.cgc_pfor(0, n, K + 1, [&](std::uint64_t lo, std::uint64_t hi) {
+    [[maybe_unused]] std::uint64_t prev = kNil;
+    for (std::uint64_t r = lo; r < hi; ++r) {
+      const PushRec<K> rec = recs.load(r);
+      assert((r == lo || rec.key != prev) && "push destinations collide");
+      prev = rec.key;
+      if (rec.key >= n) continue;
+      for (std::size_t k = 0; k < K; ++k) o[k].store(rec.key, rec.val[k]);
+    }
+  });
+}
 
 }  // namespace detail
 
-/// Batched pull: out_k[v] = field_k[target[v]] for k = 0, 1, 2 (dflt_k when
-/// target[v] == kNil).  Two SPMS sorts total, like mo_pull.
+/// out[dest[u]] = field[u] for every u with dest[u] != kNil; every slot no
+/// one sends to gets dflt.  Precondition: dest is injective on its
+/// non-kNil values and each of them is < n (a list's succ or pred array
+/// is).  One SPMS sort of 16-byte records by destination, then a fill scan
+/// and a write scan whose addresses strictly increase -- half the sorts of
+/// mo_pull.  Along a list this is the inverse of a pull:
+/// mo_push(pred, f) == mo_pull(succ, f) and mo_push(succ, f) ==
+/// mo_pull(pred, f), since pred[succ[v]] == v.
 template <class Exec, class RefU64>
-void mo_pull3(Exec& ex, RefU64 target, RefU64 f0, RefU64 f1, RefU64 f2,
+void mo_push(Exec& ex, RefU64 dest, RefU64 field, RefU64 out,
+             std::uint64_t dflt) {
+  detail::push_fields<1>(ex, dest, {field}, {out}, {dflt});
+}
+
+/// Batched push: o_k[dest[u]] = f_k[u] for k = 0, 1, 2 (d_k where nothing
+/// arrives).  Same precondition and one sort of 32-byte records.
+template <class Exec, class RefU64>
+void mo_push3(Exec& ex, RefU64 dest, RefU64 f0, RefU64 f1, RefU64 f2,
               RefU64 o0, RefU64 o1, RefU64 o2, std::uint64_t d0,
               std::uint64_t d1, std::uint64_t d2) {
-  using detail::PullRec3;
-  const std::uint64_t n = target.size();
-  if (n == 0) return;
-  auto recs_buf = ex.template make_buf<PullRec3>(n);
-  auto recs = recs_buf.ref();
-  ex.cgc_pfor_each(0, n, 5, [&](std::uint64_t v) {
-    recs.store(v, PullRec3{target.load(v), v, {0, 0, 0}});
-  });
-  spms_sort(ex, recs);
-  ex.cgc_pfor_each(0, n, 5, [&](std::uint64_t r) {
-    PullRec3 rec = recs.load(r);
-    if (rec.key == kNil) {
-      rec.val[0] = d0;
-      rec.val[1] = d1;
-      rec.val[2] = d2;
-    } else {
-      rec.val[0] = f0.load(rec.key);
-      rec.val[1] = f1.load(rec.key);
-      rec.val[2] = f2.load(rec.key);
-    }
-    rec.key = rec.src;
-    recs.store(r, rec);
-  });
-  spms_sort(ex, recs);
-  ex.cgc_pfor_each(0, n, 5, [&](std::uint64_t r) {
-    const PullRec3 rec = recs.load(r);
-    assert(rec.key == r);
-    o0.store(r, rec.val[0]);
-    o1.store(r, rec.val[1]);
-    o2.store(r, rec.val[2]);
-  });
+  detail::push_fields<3>(ex, dest, {f0, f1, f2}, {o0, o1, o2}, {d0, d1, d2});
 }
 
 namespace detail {
@@ -207,13 +228,17 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   auto scol_buf = ex.template make_buf<std::uint64_t>(n);
   auto pcol_buf = ex.template make_buf<std::uint64_t>(n);
   auto color = color_buf.ref(), scol = scol_buf.ref(), pcol = pcol_buf.ref();
+  // Every "read my successor's x" below is a push of x along pred (and
+  // "my predecessor's x" a push along succ): one sort instead of a pull's
+  // two.  The first round needs no routing at all: while color == id,
+  // color[succ[v]] is succ[v] itself.
   ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) { color.store(v, v); });
   for (int round = 0; round < dcf_rounds; ++round) {
-    mo_pull(ex, succ, color, scol, kNil);
-    dcf_step(ex, color, scol, succ);
+    if (round > 0) mo_push(ex, pred, color, scol, kNil);
+    dcf_step(ex, color, round > 0 ? scol : succ, succ);
   }
-  mo_pull(ex, succ, color, scol, kNil);
-  mo_pull(ex, pred, color, pcol, kNil);
+  mo_push(ex, pred, color, scol, kNil);
+  mo_push(ex, succ, color, pcol, kNil);
   auto in_s_buf = ex.template make_buf<std::uint64_t>(n);
   auto in_s = in_s_buf.ref();
   ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) {
@@ -231,17 +256,21 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   auto ins_s = ins_s_buf.ref(), succ2 = succ2_buf.ref(),
        lens = lens_buf.ref(), ins_p = ins_p_buf.ref(),
        pred2 = pred2_buf.ref();
-  // Batched: one routed sort pair per direction instead of three/two.
-  mo_pull3(ex, succ, in_s, succ, len, ins_s, succ2, lens, 0, kNil, 0);
-  mo_pull3(ex, pred, in_s, pred, pred, ins_p, pred2, pred2, 0, kNil, kNil);
+  // Batched: one sort per direction carries all the fields.
+  mo_push3(ex, pred, in_s, succ, len, ins_s, succ2, lens, 0, kNil, 0);
+  mo_push3(ex, succ, in_s, pred, pred, ins_p, pred2, pred2, 0, kNil, kNil);
 
   auto nsucc_buf = ex.template make_buf<std::uint64_t>(n);
   auto npred_buf = ex.template make_buf<std::uint64_t>(n);
   auto nlen_buf = ex.template make_buf<std::uint64_t>(n);
   auto nsucc = nsucc_buf.ref(), npred = npred_buf.ref(), nlen = nlen_buf.ref();
+  // Removed nodes get kNil links: among survivors nsucc and npred are
+  // inverses, so the remaps below can push along them.
   ex.cgc_pfor_each(0, n, 3, [&](std::uint64_t v) {
-    std::uint64_t s = succ.load(v), p = pred.load(v), l = len.load(v);
+    std::uint64_t s = kNil, p = kNil, l = len.load(v);
     if (in_s.load(v) == 0) {
+      s = succ.load(v);
+      p = pred.load(v);
       if (s != kNil && ins_s.load(v)) {
         l += lens.load(v);  // absorb the removed successor's edge
         s = succ2.load(v);
@@ -276,12 +305,13 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
     }
   });
 
-  // Remap spliced pointers to compacted ids (pulls through old2new).
+  // Remap spliced pointers to compacted ids: msucc[v] = old2new[nsucc[v]]
+  // is old2new pushed along npred, and mpred likewise along nsucc.
   auto msucc_buf = ex.template make_buf<std::uint64_t>(n);
   auto mpred_buf = ex.template make_buf<std::uint64_t>(n);
   auto msucc = msucc_buf.ref(), mpred = mpred_buf.ref();
-  mo_pull(ex, nsucc, old2new, msucc, kNil);
-  mo_pull(ex, npred, old2new, mpred, kNil);
+  mo_push(ex, npred, old2new, msucc, kNil);
+  mo_push(ex, nsucc, old2new, mpred, kNil);
 
   auto ssucc_buf = ex.template make_buf<std::uint64_t>(n2);
   auto spred_buf = ex.template make_buf<std::uint64_t>(n2);
@@ -305,7 +335,7 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   });
   auto dist_s_buf = ex.template make_buf<std::uint64_t>(n);
   auto dist_s = dist_s_buf.ref();
-  mo_pull(ex, succ, dist, dist_s, 0);
+  mo_push(ex, pred, dist, dist_s, 0);
   ex.cgc_pfor_each(0, n, 2, [&](std::uint64_t v) {
     if (in_s.load(v)) dist.store(v, dist_s.load(v) + len.load(v));
   });

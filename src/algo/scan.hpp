@@ -63,7 +63,8 @@ inline void scan_expand_kernel(const std::uint64_t* t, std::uint64_t* v,
 }  // namespace detail
 
 /// In-place inclusive scan of `v` under `op` (associative).
-/// `scratch` must have size >= v.size() / 2; pass a ref into a buffer
+/// `scratch` must have size >= v.size() (the contraction tree's levels
+/// n/2 + n/4 + ... sit side by side in it); pass a ref into a buffer
 /// allocated from the same executor.  Recursion depth is O(log n); each
 /// level runs two CGC pfors.
 template <class Exec, class Ref, class Op>
@@ -96,8 +97,8 @@ void mo_scan_inclusive(Exec& ex, Ref v, Ref scratch, Op op) {
                 }
               });
 
-  mo_scan_inclusive(ex, scratch.slice(0, half), scratch.slice(half, half / 2),
-                    op);
+  mo_scan_inclusive(ex, scratch.slice(0, half),
+                    scratch.slice(half, scratch.size() - half), op);
 
   // Expand: v[2i] = t[i-1] (+) v[2i], v[2i+1] = t[i].  Kept per-element:
   // batching this loop would reorder accesses across the t and v streams,

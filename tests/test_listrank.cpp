@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "hm/config.hpp"
+#include "no/executor.hpp"
+#include "no/machine.hpp"
 #include "sched/native_executor.hpp"
 #include "sched/sim_executor.hpp"
 #include "util/rng.hpp"
@@ -92,6 +95,124 @@ TEST(Pull, RoutesFieldThroughTargets) {
     const std::uint64_t t = target.raw()[v];
     EXPECT_EQ(out.raw()[v], t == kNil ? 777 : 1000 + t) << v;
   }
+}
+
+/// Runs `body` the way each executor expects it: inside run() on the
+/// simulator, directly on the native and NO executors.
+template <class Exec, class Body>
+void run_on(Exec& ex, std::uint64_t n, Body&& body) {
+  if constexpr (std::is_same_v<Exec, SimExecutor>) {
+    ex.run(16 * n + 16, body);
+  } else {
+    body();
+  }
+}
+
+TEST(Push, SkipsNilDestinationsAndFillsDefault) {
+  // dest: a random partial permutation, every third sender has none.
+  for (std::uint64_t n : {0, 1, 2, 65, 1000}) {
+    std::vector<std::uint64_t> perm(n), dest(n, kNil), field(n);
+    std::iota(perm.begin(), perm.end(), 0);
+    util::Xoshiro256 rng(n + 3);
+    for (std::uint64_t i = n; i > 1; --i) {
+      std::swap(perm[i - 1], perm[rng.below(i)]);
+    }
+    std::vector<std::uint64_t> expect(n, 777);
+    for (std::uint64_t u = 0; u < n; ++u) {
+      field[u] = 1000 + u;
+      if (u % 3 != 2) {
+        dest[u] = perm[u];
+        expect[perm[u]] = field[u];
+      }
+    }
+    SimExecutor ex(hm::MachineConfig::shared_l2(4));
+    auto db = ex.make_buf<std::uint64_t>(n);
+    auto fb = ex.make_buf<std::uint64_t>(n);
+    auto ob = ex.make_buf<std::uint64_t>(n);
+    db.raw() = dest;
+    fb.raw() = field;
+    ex.run(8 * n + 8, [&] {
+      mo_push(ex, db.ref(), fb.ref(), ob.ref(), 777);
+    });
+    EXPECT_EQ(ob.raw(), expect) << "n=" << n;
+  }
+}
+
+/// Along a list, pushing along pred is pulling along succ (and vice
+/// versa), on every executor; mo_push3 agrees field by field.
+template <class Exec>
+void expect_push_equals_pull(Exec& ex, const ListInstance& li) {
+  const std::uint64_t n = li.succ.size();
+  auto sb = ex.template make_buf<std::uint64_t>(n);
+  auto pb = ex.template make_buf<std::uint64_t>(n);
+  auto f0 = ex.template make_buf<std::uint64_t>(n);
+  auto f1 = ex.template make_buf<std::uint64_t>(n);
+  auto f2 = ex.template make_buf<std::uint64_t>(n);
+  auto push_s = ex.template make_buf<std::uint64_t>(n);
+  auto pull_s = ex.template make_buf<std::uint64_t>(n);
+  auto push_p = ex.template make_buf<std::uint64_t>(n);
+  auto pull_p = ex.template make_buf<std::uint64_t>(n);
+  auto o0 = ex.template make_buf<std::uint64_t>(n);
+  auto o1 = ex.template make_buf<std::uint64_t>(n);
+  auto o2 = ex.template make_buf<std::uint64_t>(n);
+  for (std::uint64_t v = 0; v < n; ++v) {
+    sb.raw()[v] = li.succ[v];
+    pb.raw()[v] = li.pred[v];
+    f0.raw()[v] = 1000 + v;
+    f1.raw()[v] = 7 * v;
+    f2.raw()[v] = v ^ 0x55;
+  }
+  run_on(ex, n, [&] {
+    mo_push(ex, pb.ref(), f0.ref(), push_s.ref(), kNil);
+    mo_pull(ex, sb.ref(), f0.ref(), pull_s.ref(), kNil);
+    mo_push(ex, sb.ref(), f0.ref(), push_p.ref(), 5);
+    mo_pull(ex, pb.ref(), f0.ref(), pull_p.ref(), 5);
+    mo_push3(ex, pb.ref(), f0.ref(), f1.ref(), f2.ref(), o0.ref(), o1.ref(),
+             o2.ref(), kNil, 1, 2);
+  });
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t s = li.succ[v];
+    ASSERT_EQ(push_s.raw()[v], pull_s.raw()[v]) << "succ, node " << v;
+    ASSERT_EQ(push_p.raw()[v], pull_p.raw()[v]) << "pred, node " << v;
+    ASSERT_EQ(o0.raw()[v], pull_s.raw()[v]) << "push3 field 0, node " << v;
+    ASSERT_EQ(o1.raw()[v], s == kNil ? 1 : 7 * s) << "push3 field 1, node "
+                                                  << v;
+    ASSERT_EQ(o2.raw()[v], s == kNil ? 2 : s ^ 0x55) << "push3 field 2, node "
+                                                     << v;
+  }
+}
+
+template <class MakeExec>
+void sweep_push_equals_pull(MakeExec&& make_exec) {
+  for (std::uint64_t n : {0, 1, 2, 65, 1000}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    for (const auto& li : {random_list(n, n + 5), sequential_list(n)}) {
+      make_exec([&](auto& ex) { expect_push_equals_pull(ex, li); });
+    }
+  }
+}
+
+TEST(Push, EqualsPullAlongListOnSim) {
+  sweep_push_equals_pull([](auto&& check) {
+    SimExecutor ex(hm::MachineConfig::shared_l2(4));
+    check(ex);
+  });
+}
+
+TEST(Push, EqualsPullAlongListOnNative) {
+  sweep_push_equals_pull([](auto&& check) {
+    sched::NativeExecutor ex(4);
+    check(ex);
+  });
+}
+
+TEST(Push, EqualsPullAlongListOnNo) {
+  sweep_push_equals_pull([](auto&& check) {
+    no::NoMachine mach(64, {{4, 8}});
+    no::NoExecutor ex(&mach);
+    check(ex);
+    mach.end_superstep();
+  });
 }
 
 class ListRankSizes : public ::testing::TestWithParam<std::uint64_t> {};
